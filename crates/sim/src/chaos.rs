@@ -20,7 +20,7 @@ use dyno_core::{CorrectionPolicy, StepOutcome, Strategy};
 use dyno_fault::{ChaosTransport, FaultProfile, RetryPolicy};
 use dyno_obs::Collector;
 use dyno_view::engine::SourcePort;
-use dyno_view::{FaultedPort, ViewManager};
+use dyno_view::{FaultedPort, Warehouse};
 
 use crate::consistency::{check_convergence, check_reflected};
 use crate::cost::CostModel;
@@ -174,13 +174,12 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     if cfg.op_profile {
         obs.set_profile(true);
     }
-    let mut mgr = ViewManager::new(view, info, cfg.strategy)
+    let mut wh = Warehouse::new(info, cfg.strategy)
         .with_obs(obs.clone())
-        .with_correction(cfg.policy);
-    if cfg.break_dedupe {
-        mgr = mgr.with_ingest_dedupe(false);
-    }
-    mgr.initialize(&mut port).expect("testbed initialization runs fault-free");
+        .with_correction(cfg.policy)
+        .with_ingest_dedupe(!cfg.break_dedupe);
+    wh.add_view(view);
+    wh.initialize(&mut port).expect("testbed initialization runs fault-free");
     port.start_metering();
 
     // Wrap after initialize: the baseline versions are already reflected and
@@ -221,7 +220,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
                 (a, b) => a.or(b),
             }
         };
-        match mgr.step(&mut fport) {
+        match wh.step(&mut fport) {
             Err(e) => {
                 last_error = Some(e.to_string());
                 break;
@@ -247,9 +246,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
                 if cfg.audit {
                     let ok = check_reflected(
                         fport.inner().space(),
-                        mgr.view(),
-                        mgr.reflected(),
-                        mgr.mv(),
+                        wh.view(0),
+                        wh.reflected(),
+                        wh.mv(0),
                     )
                     .unwrap_or(false);
                     if !ok {
@@ -272,13 +271,13 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
                 let t = next_event(&fport).unwrap_or(now + 1_000_000);
                 fport.inner_mut().advance_to(t.max(now + 1));
             }
-            Ok(StepOutcome::Failed) => unreachable!("manager.step surfaces failures as Err"),
+            Ok(StepOutcome::Failed) => unreachable!("Warehouse::step surfaces failures as Err"),
         }
     }
 
     let converged = last_error.is_none()
         && !exhausted
-        && check_convergence(fport.inner().space(), mgr.view(), mgr.mv()).unwrap_or(false);
+        && check_convergence(fport.inner().space(), wh.view(0), wh.mv(0)).unwrap_or(false);
     let reg = obs.registry();
     let counter = |name: &str| reg.counter_value(name).unwrap_or(0);
     ChaosReport {
@@ -292,7 +291,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         retry_attempts: counter("retry.attempts"),
         retry_exhausted: counter("retry.exhausted"),
         last_error,
-        final_mv_len: mgr.mv().len(),
+        final_mv_len: wh.mv(0).len(),
         metrics: fport.inner().metrics(),
         obs,
     }
@@ -326,19 +325,20 @@ mod tests {
         let (space, view, schedule) = mk();
         let info = space.info().clone();
         let mut port = SimPort::new(space, schedule, CostModel::default());
-        let mut mgr = ViewManager::new(view, info, Strategy::Pessimistic);
-        mgr.initialize(&mut port).unwrap();
+        let mut wh = Warehouse::new(info, Strategy::Pessimistic);
+        wh.add_view(view);
+        wh.initialize(&mut port).unwrap();
         port.start_metering();
         let baseline = port.space().versions();
         let mut fport = FaultedPort::new(port, dyno_fault::Direct, baseline);
         loop {
-            if mgr.step(&mut fport).unwrap() == StepOutcome::Idle
+            if wh.step(&mut fport).unwrap() == StepOutcome::Idle
                 && !fport.inner_mut().advance_to_next_commit()
             {
                 break;
             }
         }
-        assert!(check_convergence(fport.inner().space(), mgr.view(), mgr.mv()).unwrap());
+        assert!(check_convergence(fport.inner().space(), wh.view(0), wh.mv(0)).unwrap());
         assert_eq!(fport.injected_total(), 0);
         assert_eq!(bare.metrics, fport.inner().metrics(), "bit-identical series");
     }

@@ -2,12 +2,12 @@
 //! that additionally **kills the warehouse process** at deterministic points
 //! of the commit protocol and recovers it from its write-ahead log.
 //!
-//! A kill is a [`CrashPlan`] armed on the manager's [`DurableLog`]: after the
-//! planned record is written, the log simulates a power cut (drops every
+//! A kill is a [`CrashPlan`] armed on the warehouse's [`DurableLog`]: after
+//! the planned record is written, the log simulates a power cut (drops every
 //! later write). The driver polls for the cut after each scheduling step;
-//! when it trips, the manager is dropped — taking its in-memory extent,
-//! queue, and the port's in-flight delivery state with it — and rebuilt via
-//! [`ViewManager::recover`] from the surviving storage. The transport and
+//! when it trips, the one-view warehouse is dropped — taking its in-memory
+//! extent, queue, and the port's in-flight delivery state with it — and
+//! rebuilt via [`Warehouse::recover`] from the surviving storage. The transport and
 //! sources live on (they are the outside world), and the rebuilt port
 //! re-subscribes from the recovered high-water marks, replaying the window
 //! between the last durable admission and the crash.
@@ -32,7 +32,7 @@ use dyno_relational::wire::enc_bag;
 use dyno_source::SourceId;
 use dyno_view::engine::SourcePort;
 use dyno_view::wal::{CrashPlan, DurableLog};
-use dyno_view::{FaultedPort, ViewManager};
+use dyno_view::{FaultedPort, Warehouse};
 
 use crate::consistency::{check_convergence, check_reflected};
 use crate::cost::CostModel;
@@ -175,10 +175,11 @@ pub fn run_crash_chaos(cfg: &CrashConfig) -> CrashReport {
     let mut port = SimPort::new(space, schedule, CostModel::default());
     let obs =
         if cfg.lineage { port.obs().clone().with_lineage(64 * 1024) } else { port.obs().clone() };
-    let mut mgr = ViewManager::new(view, info.clone(), cfg.strategy)
+    let mut wh = Warehouse::new(info.clone(), cfg.strategy)
         .with_obs(obs.clone())
         .with_correction(cfg.policy);
-    mgr.initialize(&mut port).expect("testbed initialization runs fault-free");
+    wh.add_view(view);
+    wh.initialize(&mut port).expect("testbed initialization runs fault-free");
     port.start_metering();
 
     // The disk outlives every warehouse life.
@@ -186,7 +187,7 @@ pub fn run_crash_chaos(cfg: &CrashConfig) -> CrashReport {
     let log = DurableLog::create(Box::new(disk.clone()))
         .expect("MemStorage never fails")
         .with_checkpoint_every(cfg.checkpoint_every);
-    let mut mgr = mgr.with_wal(log);
+    let mut wh = wh.with_wal(log).expect("no admission bound");
 
     // Wrap after initialize; remember the pre-wrap baseline — a recovered
     // warehouse's resubscription baseline is this overlaid with its marks.
@@ -199,7 +200,7 @@ pub fn run_crash_chaos(cfg: &CrashConfig) -> CrashReport {
 
     let mut plans = cfg.kills.iter();
     if let Some(&plan) = plans.next() {
-        mgr.arm_crash(plan);
+        wh.arm_crash(plan);
     }
 
     let mut kills = 0u64;
@@ -224,23 +225,23 @@ pub fn run_crash_chaos(cfg: &CrashConfig) -> CrashReport {
                 (a, b) => a.or(b),
             }
         };
-        let outcome = mgr.step(&mut fport);
+        let outcome = wh.step(&mut fport);
 
         // The power cut may have tripped anywhere inside that step. The
         // doomed process may even have "committed" in memory — none of it
         // is durable past the cut, and the kill discards it.
-        if mgr.wal_power_cut() {
+        if wh.wal_power_cut() {
             kills += 1;
-            drop(mgr);
+            drop(wh);
             let (port, transport) = fport.into_parts();
             let (recovered, report) =
-                ViewManager::recover(Box::new(disk.clone()), info.clone(), obs.clone())
+                Warehouse::recover(Box::new(disk.clone()), info.clone(), obs.clone())
                     .expect("a cut log always holds its initial checkpoint");
-            mgr = recovered;
+            wh = recovered;
             // Resubscription baseline: pre-wrap versions overlaid with the
             // recovered admission marks.
             let mut baseline: HashMap<SourceId, u64> = init_versions.clone();
-            for (s, v) in mgr.ingress_marks() {
+            for (s, v) in wh.ingress_marks() {
                 let e = baseline.entry(SourceId(s)).or_insert(0);
                 *e = (*e).max(v);
             }
@@ -251,7 +252,7 @@ pub fn run_crash_chaos(cfg: &CrashConfig) -> CrashReport {
             fport.resubscribe();
             if cfg.audit {
                 let ok =
-                    check_reflected(fport.inner().space(), mgr.view(), mgr.reflected(), mgr.mv())
+                    check_reflected(fport.inner().space(), wh.view(0), wh.reflected(), wh.mv(0))
                         .unwrap_or(false);
                 if !ok {
                     recovery_audit_failures += 1;
@@ -259,7 +260,7 @@ pub fn run_crash_chaos(cfg: &CrashConfig) -> CrashReport {
             }
             let _ = report; // counters already aggregate in `obs`
             if let Some(&plan) = plans.next() {
-                mgr.arm_crash(plan);
+                wh.arm_crash(plan);
             }
             flushed = false;
             continue;
@@ -288,9 +289,9 @@ pub fn run_crash_chaos(cfg: &CrashConfig) -> CrashReport {
                 if cfg.audit {
                     let ok = check_reflected(
                         fport.inner().space(),
-                        mgr.view(),
-                        mgr.reflected(),
-                        mgr.mv(),
+                        wh.view(0),
+                        wh.reflected(),
+                        wh.mv(0),
                     )
                     .unwrap_or(false);
                     if !ok {
@@ -299,7 +300,7 @@ pub fn run_crash_chaos(cfg: &CrashConfig) -> CrashReport {
                 }
                 // Everything admitted is durable (logged before enqueue), so
                 // the transport may prune its replay log up to the marks.
-                for (s, v) in mgr.ingress_marks() {
+                for (s, v) in wh.ingress_marks() {
                     fport.ack_durable(SourceId(s), v);
                 }
             }
@@ -314,17 +315,17 @@ pub fn run_crash_chaos(cfg: &CrashConfig) -> CrashReport {
                 let t = next_event(&fport).unwrap_or(now + 1_000_000);
                 fport.inner_mut().advance_to(t.max(now + 1));
             }
-            Ok(StepOutcome::Failed) => unreachable!("manager.step surfaces failures as Err"),
+            Ok(StepOutcome::Failed) => unreachable!("Warehouse::step surfaces failures as Err"),
         }
     }
 
     // Close the log cleanly: the final checkpoint truncates the WAL so a
     // later `recover` replays exactly one record and reports no torn tail.
-    mgr.checkpoint_now();
+    wh.checkpoint_now();
 
     let converged = last_error.is_none()
         && !exhausted
-        && check_convergence(fport.inner().space(), mgr.view(), mgr.mv()).unwrap_or(false);
+        && check_convergence(fport.inner().space(), wh.view(0), wh.mv(0)).unwrap_or(false);
     let reg = obs.registry();
     let counter = |name: &str| reg.counter_value(name).unwrap_or(0);
     CrashReport {
@@ -338,9 +339,9 @@ pub fn run_crash_chaos(cfg: &CrashConfig) -> CrashReport {
         steps,
         exhausted,
         last_error,
-        final_mv_len: mgr.mv().len(),
-        final_extent_crc: extent_crc(mgr.mv()),
-        final_view_sql: mgr.view().to_string(),
+        final_mv_len: wh.mv(0).len(),
+        final_extent_crc: extent_crc(wh.mv(0)),
+        final_view_sql: wh.view(0).to_string(),
         obs,
     }
 }

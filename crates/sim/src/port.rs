@@ -45,13 +45,15 @@ struct SimCounters {
     /// simulated time they consumed before parking.
     parks: Counter,
     parked_us: Counter,
-    /// Tuples the executor actually touched (scan + probe paths).
+    /// Tuples the executor touched answering source queries (scan + probe
+    /// paths). Source-side only: the warehouse's `exec.*` counters sample
+    /// every executor call of a step, this port's included.
     rows_scanned: Counter,
-    /// Secondary-index lookups the executor performed.
+    /// Secondary-index lookups performed answering source queries.
     index_probes: Counter,
-    /// Joins that fell back to a cartesian product (planner found no
-    /// connecting predicate).
-    cartesian_fallback: Counter,
+    /// Source-query joins that fell back to a cartesian product (planner
+    /// found no connecting predicate).
+    cartesian_fallbacks: Counter,
     /// Per-entry simulated cost of committed maintenance (log₂ buckets).
     entry_committed: Histogram,
     /// Per-entry simulated cost of aborted maintenance.
@@ -71,9 +73,9 @@ impl SimCounters {
             skipped_commits: obs.counter("sim.skipped_commits"),
             parks: obs.counter("sim.parks"),
             parked_us: obs.counter("sim.parked_us"),
-            rows_scanned: obs.counter("exec.rows_scanned"),
-            index_probes: obs.counter("exec.index_probes"),
-            cartesian_fallback: obs.counter("exec.cartesian_fallback"),
+            rows_scanned: obs.counter("sim.rows_scanned"),
+            index_probes: obs.counter("sim.index_probes"),
+            cartesian_fallbacks: obs.counter("sim.cartesian_fallbacks"),
             entry_committed: obs.histogram("sim.entry_committed_us"),
             entry_abort: obs.histogram("sim.entry_abort_us"),
         }
@@ -106,8 +108,8 @@ impl SimPort {
     /// The port owns an enabled [`Collector`] stamped by its virtual clock:
     /// run counters live in its registry (the [`Metrics`] struct is a
     /// projection of them) and, when tracing is switched on, events and
-    /// spans carry simulated-µs timestamps. Share it with the view manager
-    /// (`ViewManager::with_obs(port.obs().clone())`) to get one coherent
+    /// spans carry simulated-µs timestamps. Share it with the warehouse
+    /// (`Warehouse::with_obs(port.obs().clone())`) to get one coherent
     /// timeline across the scheduler, the maintenance paths, and the port.
     pub fn new(space: SourceSpace, mut schedule: Vec<ScheduledCommit>, cost: CostModel) -> Self {
         schedule.sort_by_key(|c| c.at_us);
@@ -148,7 +150,7 @@ impl SimPort {
     }
 
     /// The port's collector. Clones share the pipeline, so this is the
-    /// handle to thread into `ViewManager::with_obs` / `Warehouse::with_obs`
+    /// handle to thread into `Warehouse::with_obs`
     /// and to flip tracing on (`set_tracing`) for a run.
     pub fn obs(&self) -> &Collector {
         &self.obs
@@ -311,7 +313,7 @@ impl SourcePort for SimPort {
         let d = dyno_relational::thread_stats().since(before);
         self.sim.rows_scanned.add(d.rows_scanned);
         self.sim.index_probes.add(d.index_probes);
-        self.sim.cartesian_fallback.add(d.cartesian_fallbacks);
+        self.sim.cartesian_fallbacks.add(d.cartesian_fallbacks);
         if self.metering {
             // Simulated time is charged from *schema-level* relation sizes,
             // not the executor's actual work: the simulated-seconds series
@@ -435,6 +437,42 @@ mod tests {
         SourceUpdate::Data(DataUpdate::new(
             Delta::inserts(Schema::of("R", &[("a", AttrType::Int)]), [Tuple::of([v])]).unwrap(),
         ))
+    }
+
+    #[test]
+    fn warehouse_is_the_only_writer_of_exec_counters() {
+        // The warehouse samples every executor call of a step into `exec.*`,
+        // this port's source queries included; the port's own counters are
+        // `sim.*`, so sharing one collector must not count a row twice.
+        use crate::testbed::{build_testbed, TestbedConfig};
+        use crate::workload::WorkloadGen;
+        use dyno_core::{StepOutcome, Strategy};
+        use dyno_view::Warehouse;
+
+        let cfg = TestbedConfig { tuples_per_relation: 200, ..Default::default() };
+        let (space, view) = build_testbed(&cfg);
+        let info = space.info().clone();
+        let mut gen = WorkloadGen::new(cfg, 5);
+        let mut schedule = gen.du_flood(8);
+        schedule.extend(gen.sc_train(2, 1_000_000, 10_000_000));
+        let mut port = SimPort::new(space, schedule, CostModel::default());
+        let mut wh = Warehouse::new(info, Strategy::Pessimistic).with_obs(port.obs().clone());
+        wh.add_view(view);
+        wh.initialize(&mut port).unwrap();
+        port.start_metering();
+        let obs = port.obs().clone();
+        let counter = |name| obs.registry().counter_value(name).unwrap_or(0);
+        let sim_before = counter("sim.rows_scanned");
+
+        let before = dyno_relational::thread_stats();
+        while wh.step(&mut port).unwrap() != StepOutcome::Idle || port.advance_to_next_commit() {}
+        let d = dyno_relational::thread_stats().since(before);
+
+        assert!(d.rows_scanned > 0);
+        assert_eq!(counter("exec.rows_scanned"), d.rows_scanned);
+        assert_eq!(counter("exec.index_probes"), d.index_probes);
+        let source_rows = counter("sim.rows_scanned") - sim_before;
+        assert!(source_rows > 0 && source_rows <= d.rows_scanned, "sim.* is source-side only");
     }
 
     #[test]

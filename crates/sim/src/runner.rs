@@ -1,9 +1,10 @@
-//! The experiment runner: drives a [`dyno_view::ViewManager`] against a
-//! [`SimPort`] until every scheduled source commit has been maintained.
+//! The experiment runner: drives a one-view [`dyno_view::Warehouse`]
+//! against a [`SimPort`] until every scheduled source commit has been
+//! maintained.
 
 use dyno_core::{CorrectionPolicy, StepOutcome, Strategy};
 use dyno_obs::Collector;
-use dyno_view::{AdaptationMode, ViewDefinition, ViewError, ViewManager};
+use dyno_view::{AdaptationMode, ViewDefinition, ViewError, Warehouse};
 
 use crate::consistency::{check_convergence, check_reflected};
 use crate::cost::CostModel;
@@ -117,7 +118,7 @@ impl Scenario {
 pub struct RunReport {
     /// Simulated-time metrics (the paper's y-axes).
     pub metrics: Metrics,
-    /// View-manager counters.
+    /// The view's maintenance counters.
     pub view_stats: dyno_view::ViewStats,
     /// Scheduler counters.
     pub dyno_stats: dyno_core::DynoStats,
@@ -163,11 +164,12 @@ pub fn run_scenario(scenario: Scenario) -> Result<RunReport, ViewError> {
         // clone of this run's collector sees it.
         let _ = port.obs().clone().with_lineage(64 * 1024);
     }
-    let mut mgr = ViewManager::new(view, info, strategy)
+    let mut wh = Warehouse::new(info, strategy)
         .with_obs(port.obs().clone())
         .with_correction(policy)
         .with_adaptation(adaptation);
-    mgr.initialize(&mut port)?;
+    wh.add_view(view);
+    wh.initialize(&mut port)?;
     port.start_metering();
 
     let mut steps = 0;
@@ -178,7 +180,7 @@ pub fn run_scenario(scenario: Scenario) -> Result<RunReport, ViewError> {
             exhausted = true;
             break;
         }
-        match mgr.step(&mut port)? {
+        match wh.step(&mut port)? {
             StepOutcome::Idle => {
                 if !port.advance_to_next_commit() {
                     break;
@@ -187,7 +189,7 @@ pub fn run_scenario(scenario: Scenario) -> Result<RunReport, ViewError> {
             StepOutcome::Committed => {
                 steps += 1;
                 if audit {
-                    let ok = check_reflected(port.space(), mgr.view(), mgr.reflected(), mgr.mv())
+                    let ok = check_reflected(port.space(), wh.view(0), wh.reflected(), wh.mv(0))
                         .unwrap_or(false);
                     if !ok {
                         audit_violations += 1;
@@ -202,12 +204,12 @@ pub fn run_scenario(scenario: Scenario) -> Result<RunReport, ViewError> {
                 // the chaos runner (crate::chaos) drives parked entries.
                 steps += 1;
             }
-            StepOutcome::Failed => unreachable!("manager.step surfaces failures as Err"),
+            StepOutcome::Failed => unreachable!("Warehouse::step surfaces failures as Err"),
         }
     }
 
     let converged =
-        !exhausted && check_convergence(port.space(), mgr.view(), mgr.mv()).unwrap_or(false);
+        !exhausted && check_convergence(port.space(), wh.view(0), wh.mv(0)).unwrap_or(false);
     let metrics = port.metrics();
     assert_eq!(
         metrics.skipped_commits, 0,
@@ -215,9 +217,9 @@ pub fn run_scenario(scenario: Scenario) -> Result<RunReport, ViewError> {
     );
     Ok(RunReport {
         metrics,
-        view_stats: mgr.stats(),
-        dyno_stats: mgr.dyno_stats(),
-        final_mv_len: mgr.mv().len(),
+        view_stats: wh.stats(0),
+        dyno_stats: wh.dyno_stats(),
+        final_mv_len: wh.mv(0).len(),
         converged,
         audit_violations,
         steps,

@@ -833,7 +833,7 @@ fn dec_applied(d: &mut Dec<'_>) -> Result<AppliedRecord, WireError> {
     Ok(AppliedRecord { keys, changes, reflected, view_reflected })
 }
 
-/// Helper for warehouse/manager: sorted `(source, version)` pairs from any
+/// Helper for the warehouse: sorted `(source, version)` pairs from any
 /// iterator of pairs (the canonical on-disk form of a version vector).
 pub fn sorted_versions(it: impl IntoIterator<Item = (u32, u64)>) -> Vec<(u32, u64)> {
     let mut v: Vec<(u32, u64)> = it.into_iter().collect();

@@ -1,15 +1,14 @@
-//! A multi-view warehouse: several materialized views over the same source
-//! space, maintained through **one** Update Message Queue and one Dyno
-//! schedule.
+//! The warehouse: materialized views over the same source space,
+//! maintained through **one** Update Message Queue and one Dyno schedule —
+//! the paper's framework (Figure 3), integrating VM (SWEEP), VS and VA.
 //!
-//! The paper presents a single view for clarity, but its framework
-//! (Figure 3) is a warehouse: the UMQ buffers every source update once, and
-//! each update's maintenance must be correct for *every* view. The
-//! scheduler-side generalizations are small and instructive:
+//! The paper presents a single view for clarity; a one-view warehouse is
+//! exactly that single-view manager. With several views the scheduler-side
+//! generalizations are small and instructive:
 //!
 //! - a schema change is view-relevant (draws concurrent-dependency edges)
-//!   iff it invalidates **any** view's definition — transitively, via the
-//!   same shadow-evolution walk the single-view manager uses;
+//!   iff it invalidates **any** view's definition — transitively, via a
+//!   shadow-evolution walk of each view through the queue;
 //! - one queue entry is maintained against all views **atomically**: a
 //!   broken query during any view's maintenance aborts the entry for all of
 //!   them (their already-computed deltas are discarded — abort cost), so
@@ -29,16 +28,55 @@ use dyno_source::{InfoSpace, SourceId, UpdateMessage};
 use crate::batch::{adapt_batch_observed, AdaptationMode, Adapted, BatchFailure};
 use crate::engine::{MaintEvent, SourcePort};
 use crate::ingress::IngressGate;
-use crate::manager::{ReflectedVersions, ViewError, ViewStats};
 use crate::mview::MaterializedView;
 use crate::plan::PlanCache;
 use crate::subplan::SharedSubplans;
 use crate::viewdef::ViewDefinition;
 use crate::vm::{prof_op, prof_start, sweep_maintain_observed, sweep_maintain_shared, Prof};
+use crate::vs::VsError;
 use crate::wal::{
     sorted_versions, AppliedChange, AppliedRecord, CrashPlan, DurableLog, DurableState,
     RecoverError, RecoverReport, ReplicaTailEvent, ViewState,
 };
+
+/// Hard (non-retryable) view-management failures.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ViewError {
+    /// The view has no legal rewrite under a schema change.
+    Undefinable(VsError),
+    /// An internal invariant was violated.
+    Internal(RelationalError),
+}
+
+impl std::fmt::Display for ViewError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ViewError::Undefinable(e) => write!(f, "{e}"),
+            ViewError::Internal(e) => write!(f, "internal error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ViewError {}
+
+/// Maintenance counters for one view over its warehouse's lifetime.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ViewStats {
+    /// Data updates committed to the view via SWEEP.
+    pub du_committed: u64,
+    /// Batches (schema-change or merged) committed via adaptation.
+    pub batches_committed: u64,
+    /// Of those, batches adapted incrementally (Equation 6) rather than by
+    /// recompute.
+    pub incremental_batches: u64,
+    /// Updates committed inside those batches.
+    pub batched_updates: u64,
+    /// Maintenance attempts aborted by broken queries.
+    pub aborts: u64,
+}
+
+/// The per-source versions a materialized view currently reflects.
+pub type ReflectedVersions = HashMap<SourceId, u64>;
 
 /// One view's state inside the warehouse. Views advance independently: each
 /// slot carries its own reflected version vector and a queue of batches it
@@ -100,6 +138,83 @@ enum Disposition {
 enum Staged {
     Delta(crate::vm::ViewDelta),
     Adapted(Adapted),
+}
+
+impl Staged {
+    /// The rows a peer replica receives (a full replace ships its whole
+    /// new extent).
+    fn changed_rows(&self) -> SignedBag {
+        match self {
+            Staged::Delta(delta) | Staged::Adapted(Adapted::Incremental { delta, .. }) => {
+                delta.rows.clone()
+            }
+            Staged::Adapted(Adapted::Replaced { extent, .. }) => extent.clone(),
+        }
+    }
+
+    /// The change as the WAL `Applied` record carries it.
+    fn applied_change(&self) -> AppliedChange {
+        match self {
+            Staged::Delta(delta) => AppliedChange::Delta { rows: delta.rows.clone() },
+            Staged::Adapted(Adapted::Replaced { view, cols, extent }) => AppliedChange::Replace {
+                sql: view.to_string(),
+                cols: cols.clone(),
+                extent: extent.clone(),
+            },
+            Staged::Adapted(Adapted::Incremental { view, delta }) => {
+                AppliedChange::Incremental { sql: view.to_string(), rows: delta.rows.clone() }
+            }
+        }
+    }
+
+    /// The profiler's operator name and distinct-row count for the apply.
+    fn apply_op(&self) -> (&'static str, u64) {
+        match self {
+            Staged::Delta(d) => ("apply_delta", d.rows.distinct_len() as u64),
+            Staged::Adapted(Adapted::Replaced { extent, .. }) => {
+                ("replace", extent.distinct_len() as u64)
+            }
+            Staged::Adapted(Adapted::Incremental { delta, .. }) => {
+                ("apply_incremental", delta.rows.distinct_len() as u64)
+            }
+        }
+    }
+
+    /// Applies the change to `slot` — extent, rewritten definition, plan
+    /// invalidation and stats for a batch of `updates` updates — and
+    /// returns the weight written to the extent.
+    fn apply(
+        self,
+        slot: &mut ViewSlot,
+        updates: usize,
+        schema_changes: usize,
+        clamp: bool,
+        clamped: &Counter,
+        obs: &Collector,
+    ) -> Result<u64, RelationalError> {
+        let (written, adapted) = match self {
+            Staged::Delta(delta) => {
+                apply_signed(&mut slot.mv, &delta.cols, &delta.rows, clamp, clamped)?;
+                slot.stats.du_committed += 1;
+                return Ok(delta.rows.weight());
+            }
+            Staged::Adapted(Adapted::Replaced { view, cols, extent }) => {
+                let written = extent.weight();
+                slot.mv.replace(cols, extent)?;
+                (written, view)
+            }
+            Staged::Adapted(Adapted::Incremental { view, delta }) => {
+                apply_signed(&mut slot.mv, &delta.cols, &delta.rows, clamp, clamped)?;
+                slot.stats.incremental_batches += 1;
+                (delta.rows.weight(), view)
+            }
+        };
+        slot.view = adapted;
+        slot.plans.invalidate(schema_changes as u64, obs);
+        slot.stats.batches_committed += 1;
+        slot.stats.batched_updates += updates as u64;
+        Ok(written)
+    }
 }
 
 /// One committed batch waiting for the replication engine to publish it to
@@ -255,7 +370,10 @@ impl Warehouse {
         self
     }
 
-    /// Attaches an observability collector (see [`crate::ViewManager::with_obs`]).
+    /// Attaches an observability collector: the scheduler and every
+    /// maintenance path report spans, events, and `view.*`/`vm.*`/`va.*`
+    /// metrics through it. The default is a disabled collector, which costs
+    /// nothing on the hot paths.
     pub fn with_obs(mut self, obs: Collector) -> Self {
         self.dyno = self.dyno.clone().with_obs(obs.clone());
         self.ingress.bind_obs(&obs);
@@ -312,8 +430,9 @@ impl Warehouse {
         self
     }
 
-    /// Enables/disables UMQ admission dedupe+resequencing (default on); see
-    /// [`crate::ViewManager::with_ingest_dedupe`].
+    /// Enables/disables UMQ admission dedupe+resequencing (default on).
+    /// Disabling exists solely so the chaos suite can prove it detects the
+    /// resulting double-applies.
     pub fn with_ingest_dedupe(mut self, enabled: bool) -> Self {
         self.ingress.set_dedupe(enabled);
         self
@@ -638,9 +757,10 @@ impl Warehouse {
     /// *all* views.
     pub fn ingest<I: IntoIterator<Item = UpdateMessage>>(&mut self, messages: I) {
         for msg in messages {
-            // The admission gate dedupes and resequences per source (see
-            // `ViewManager::ingest`); the reflected floor covers messages
-            // committed before initialization.
+            // The admission gate dedupes by (source, version) — including
+            // messages committed before initialization, via the reflected
+            // floor — and resequences early arrivals so enqueue order always
+            // equals version order per source.
             let floor = self.reflected.get(&msg.source).copied().unwrap_or(0);
             for msg in self.ingress.admit(msg, floor) {
                 // Admission control: at the bound, data updates are shed
@@ -811,6 +931,11 @@ impl Warehouse {
     /// counter).
     pub fn admitted_count(&self) -> u64 {
         self.umq_admitted.get()
+    }
+
+    /// Buffered (unmaintained) update count.
+    pub fn backlog(&self) -> usize {
+        self.umq.update_count()
     }
 
     /// Updates shed at the admission bound so far (mirrors `umq.shed`).
@@ -1033,61 +1158,25 @@ impl Warehouse {
         if let Some(log) = self.wal.as_mut() {
             log.log_intent(&keys, schema_changes > 0);
         }
-        let pub_rows = self.replicate.then(|| match &staged {
-            Staged::Delta(delta) => delta.rows.clone(),
-            Staged::Adapted(Adapted::Replaced { extent, .. }) => extent.clone(),
-            Staged::Adapted(Adapted::Incremental { delta, .. }) => delta.rows.clone(),
-        });
+        let pub_rows = self.replicate.then(|| staged.changed_rows());
+        let log_change = self.wal.is_some().then(|| staged.applied_change());
         let clamp = self.umq_bound.is_some();
-        let log_change = self.wal.is_some().then(|| match &staged {
-            Staged::Delta(delta) => AppliedChange::Delta { rows: delta.rows.clone() },
-            Staged::Adapted(Adapted::Replaced { view, cols, extent }) => AppliedChange::Replace {
-                sql: view.to_string(),
-                cols: cols.clone(),
-                extent: extent.clone(),
-            },
-            Staged::Adapted(Adapted::Incremental { view, delta }) => {
-                AppliedChange::Incremental { sql: view.to_string(), rows: delta.rows.clone() }
-            }
-        });
         {
             let slot = &mut self.slots[idx];
-            let applied = match staged {
-                Staged::Delta(delta) => {
-                    let written = delta.rows.weight();
-                    apply_signed(&mut slot.mv, &delta.cols, &delta.rows, clamp, &self.mv_clamped)
-                        .map(|()| {
-                            port.charge_mv_write(written);
-                            slot.stats.du_committed += 1;
-                        })
+            match staged.apply(
+                slot,
+                batch.len(),
+                schema_changes,
+                clamp,
+                &self.mv_clamped,
+                &self.obs,
+            ) {
+                Ok(written) => port.charge_mv_write(written),
+                Err(e) => {
+                    self.last_error = Some(ViewError::Internal(e.clone()));
+                    port.on_maintenance_event(MaintEvent::Abort);
+                    return Err(ViewError::Internal(e));
                 }
-                Staged::Adapted(Adapted::Replaced { view, cols, extent }) => {
-                    let written = extent.weight();
-                    slot.mv.replace(cols, extent).map(|()| {
-                        port.charge_mv_write(written);
-                        slot.view = view;
-                        slot.plans.invalidate(schema_changes as u64, &self.obs);
-                        slot.stats.batches_committed += 1;
-                        slot.stats.batched_updates += batch.len() as u64;
-                    })
-                }
-                Staged::Adapted(Adapted::Incremental { view, delta }) => {
-                    let written = delta.rows.weight();
-                    apply_signed(&mut slot.mv, &delta.cols, &delta.rows, clamp, &self.mv_clamped)
-                        .map(|()| {
-                            port.charge_mv_write(written);
-                            slot.view = view;
-                            slot.plans.invalidate(schema_changes as u64, &self.obs);
-                            slot.stats.batches_committed += 1;
-                            slot.stats.incremental_batches += 1;
-                            slot.stats.batched_updates += batch.len() as u64;
-                        })
-                }
-            };
-            if let Err(e) = applied {
-                self.last_error = Some(ViewError::Internal(e.clone()));
-                port.on_maintenance_event(MaintEvent::Abort);
-                return Err(ViewError::Internal(e));
             }
             for meta in batch {
                 let entry = slot.reflected.entry(meta.payload.source).or_insert(0);
@@ -1098,8 +1187,7 @@ impl Warehouse {
         if let (Some(tracker), Some(lane)) = (&self.staleness, self.slots[idx].lane) {
             tracker.note_refresh_for(lane, &self.slots[idx].sorted_reflected(), self.obs.now_us());
         }
-        if self.wal.is_some() {
-            let change = log_change.expect("built when a wal is attached");
+        if let Some(change) = log_change {
             let rec = AppliedRecord {
                 keys: keys.clone(),
                 changes: (0..self.slots.len())
@@ -1277,7 +1365,11 @@ impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
         // per-batch cache. A source being unavailable is per-view: that
         // view defers while its peers proceed — unless *every* active view
         // is blocked, which parks the whole entry (classic Dyno semantics).
-        let mut shared = if is_plain_du && self.share { Some(SharedSubplans::new()) } else { None };
+        // A lone view has no peer to share a hop with, so a one-view
+        // warehouse skips the cache (its full-width hops would also ship
+        // different tuple counts through the port than plain SWEEP does).
+        let mut shared =
+            (is_plain_du && self.share && self.slots.len() > 1).then(SharedSubplans::new);
         let mut staged: Vec<Option<Staged>> = (0..self.slots.len()).map(|_| None).collect();
         let mut active_total = 0usize;
         let mut blocked = 0usize;
@@ -1381,95 +1473,22 @@ impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
                 Disposition::Active => {
                     let change = staged[i].take().expect("active slot staged a change");
                     if self.replicate {
-                        pub_rows[i] = match &change {
-                            Staged::Delta(delta) => delta.rows.clone(),
-                            Staged::Adapted(Adapted::Replaced { extent, .. }) => extent.clone(),
-                            Staged::Adapted(Adapted::Incremental { delta, .. }) => {
-                                delta.rows.clone()
-                            }
-                        };
+                        pub_rows[i] = change.changed_rows();
                     }
                     if self.wal.is_some() {
-                        logged_changes[i] = match &change {
-                            Staged::Delta(delta) => {
-                                AppliedChange::Delta { rows: delta.rows.clone() }
-                            }
-                            Staged::Adapted(Adapted::Replaced { view, cols, extent }) => {
-                                AppliedChange::Replace {
-                                    sql: view.to_string(),
-                                    cols: cols.clone(),
-                                    extent: extent.clone(),
-                                }
-                            }
-                            Staged::Adapted(Adapted::Incremental { view, delta }) => {
-                                AppliedChange::Incremental {
-                                    sql: view.to_string(),
-                                    rows: delta.rows.clone(),
-                                }
-                            }
-                        };
+                        logged_changes[i] = change.applied_change();
                     }
-                    let apply_meta = prof.map(|_| {
-                        let (op, rows): (&'static str, u64) = match &change {
-                            Staged::Delta(d) => ("apply_delta", d.rows.distinct_len() as u64),
-                            Staged::Adapted(Adapted::Replaced { extent, .. }) => {
-                                ("replace", extent.distinct_len() as u64)
-                            }
-                            Staged::Adapted(Adapted::Incremental { delta, .. }) => {
-                                ("apply_incremental", delta.rows.distinct_len() as u64)
-                            }
-                        };
-                        (op, rows, slot.view.name.clone())
-                    });
+                    let op = prof.map(|_| change.apply_op());
                     let apply_started = prof_start(prof);
-                    let applied = match change {
-                        Staged::Delta(delta) => {
-                            let written = delta.rows.weight();
-                            apply_signed(
-                                &mut slot.mv,
-                                &delta.cols,
-                                &delta.rows,
-                                self.clamp,
-                                &self.clamped,
-                            )
-                            .map(|()| {
-                                self.port.charge_mv_write(written);
-                                total_written += written;
-                                slot.stats.du_committed += 1;
-                            })
-                        }
-                        Staged::Adapted(Adapted::Replaced { view, cols, extent }) => {
-                            let written = extent.weight();
-                            slot.mv.replace(cols, extent).map(|()| {
-                                self.port.charge_mv_write(written);
-                                total_written += written;
-                                slot.view = view;
-                                slot.plans.invalidate(schema_changes as u64, self.obs);
-                                slot.stats.batches_committed += 1;
-                                slot.stats.batched_updates += batch.len() as u64;
-                            })
-                        }
-                        Staged::Adapted(Adapted::Incremental { view, delta }) => {
-                            let written = delta.rows.weight();
-                            apply_signed(
-                                &mut slot.mv,
-                                &delta.cols,
-                                &delta.rows,
-                                self.clamp,
-                                &self.clamped,
-                            )
-                            .map(|()| {
-                                self.port.charge_mv_write(written);
-                                total_written += written;
-                                slot.view = view;
-                                slot.plans.invalidate(schema_changes as u64, self.obs);
-                                slot.stats.batches_committed += 1;
-                                slot.stats.incremental_batches += 1;
-                                slot.stats.batched_updates += batch.len() as u64;
-                            })
-                        }
-                    };
-                    if let Some((op, rows, vname)) = apply_meta {
+                    let applied = change.apply(
+                        slot,
+                        batch.len(),
+                        schema_changes,
+                        self.clamp,
+                        &self.clamped,
+                        self.obs,
+                    );
+                    if let Some((op, rows)) = op {
                         prof_op(
                             prof,
                             apply_started,
@@ -1477,15 +1496,21 @@ impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
                             2,
                             OpPhase::Apply,
                             op,
-                            &vname,
+                            &slot.view.name,
                             rows,
                             rows,
                         );
                     }
-                    if let Err(e) = applied {
-                        *self.last_error = Some(ViewError::Internal(e));
-                        self.port.on_maintenance_event(MaintEvent::Abort);
-                        return MaintainOutcome::Failed;
+                    match applied {
+                        Ok(written) => {
+                            self.port.charge_mv_write(written);
+                            total_written += written;
+                        }
+                        Err(e) => {
+                            *self.last_error = Some(ViewError::Internal(e));
+                            self.port.on_maintenance_event(MaintEvent::Abort);
+                            return MaintainOutcome::Failed;
+                        }
                     }
                 }
             }
@@ -1679,6 +1704,142 @@ mod tests {
         (wh, port)
     }
 
+    /// A one-view warehouse over the BookInfo example: the paper's
+    /// single-view manager.
+    fn single(strategy: Strategy) -> (Warehouse, InProcessPort) {
+        let space = bookinfo_space();
+        let info = space.info().clone();
+        let mut port = InProcessPort::new(space);
+        let mut wh = Warehouse::new(info, strategy);
+        wh.add_view(bookinfo_view());
+        wh.initialize(&mut port).unwrap();
+        (wh, port)
+    }
+
+    /// Commits Example 1(b): a buffered insert, then the StoreItems
+    /// restructuring of the Retailer.
+    fn commit_insert_then_storeitems(port: &mut InProcessPort) {
+        port.commit(
+            SourceId(0),
+            SourceUpdate::Data(insert_item(10, "Data Integration Guide", "Adams", 36)),
+        )
+        .unwrap();
+        let store = port.space().server(SourceId(0)).catalog().get("Store").unwrap().clone();
+        let item = port.space().server(SourceId(0)).catalog().get("Item").unwrap().clone();
+        port.commit(SourceId(0), SourceUpdate::Schema(storeitems_change(&store, &item))).unwrap();
+    }
+
+    #[test]
+    fn initialize_populates_extent() {
+        let (wh, _) = single(Strategy::Pessimistic);
+        assert_eq!(wh.mv(0).len(), 1);
+        assert_eq!(wh.reflected().len(), 2, "Retailer and Library reflected");
+    }
+
+    #[test]
+    fn data_update_maintained_incrementally() {
+        let (mut wh, mut port) = single(Strategy::Pessimistic);
+        port.commit(
+            SourceId(0),
+            SourceUpdate::Data(insert_item(10, "Data Integration Guide", "Adams", 36)),
+        )
+        .unwrap();
+        wh.run_to_quiescence(&mut port, 100).unwrap();
+        assert_eq!(wh.mv(0).len(), 2);
+        assert_eq!(wh.stats(0).du_committed, 1);
+        assert_eq!(wh.stats(0).aborts, 0);
+        assert_eq!(wh.subplan_hits() + wh.subplan_misses(), 0, "a lone view shares no hop");
+    }
+
+    #[test]
+    fn broken_query_anomaly_resolved_by_reordering() {
+        // Example 1(b): DU buffered, then the StoreItems restructuring
+        // commits. Pessimistic Dyno reorders so no broken query occurs…
+        let (mut wh, mut port) = single(Strategy::Pessimistic);
+        commit_insert_then_storeitems(&mut port);
+        wh.run_to_quiescence(&mut port, 100).unwrap();
+        assert!(wh.view(0).references_relation("StoreItems"));
+        assert_eq!(wh.mv(0).len(), 2, "both books visible after adaptation");
+        assert_eq!(wh.stats(0).aborts, 0, "pessimistic pre-exec avoided the break");
+        // DU and SC are same-source → cycle → merged batch.
+        assert!(wh.dyno_stats().merges >= 1);
+    }
+
+    #[test]
+    fn optimistic_endures_abort_on_same_scenario() {
+        let (mut wh, mut port) = single(Strategy::Optimistic);
+        commit_insert_then_storeitems(&mut port);
+        wh.run_to_quiescence(&mut port, 100).unwrap();
+        assert!(wh.view(0).references_relation("StoreItems"));
+        assert_eq!(wh.mv(0).len(), 2);
+        assert!(wh.stats(0).aborts >= 1, "optimistic pays the broken query");
+    }
+
+    #[test]
+    fn cyclic_schema_changes_merge_and_commit() {
+        // Section 3.5: SC1 (StoreItems) + SC2 (drop Review) — both relevant,
+        // cyclic, processed as one atomic batch producing Query (5).
+        let (mut wh, mut port) = single(Strategy::Pessimistic);
+        let store = port.space().server(SourceId(0)).catalog().get("Store").unwrap().clone();
+        let item = port.space().server(SourceId(0)).catalog().get("Item").unwrap().clone();
+        port.commit(SourceId(0), SourceUpdate::Schema(storeitems_change(&store, &item))).unwrap();
+        port.commit(
+            SourceId(1),
+            SourceUpdate::Schema(SchemaChange::DropAttribute {
+                relation: "Catalog".into(),
+                attr: "Review".into(),
+            }),
+        )
+        .unwrap();
+        wh.run_to_quiescence(&mut port, 100).unwrap();
+        assert!(wh.view(0).references_relation("StoreItems"));
+        assert!(wh.view(0).references_relation("ReaderDigest"));
+        assert_eq!(wh.stats(0).batches_committed, 1);
+        assert_eq!(wh.stats(0).batched_updates, 2);
+        assert_eq!(wh.mv(0).len(), 1);
+    }
+
+    #[test]
+    fn observed_manager_reports_maintenance_metrics() {
+        let space = bookinfo_space();
+        let info = space.info().clone();
+        let mut port = InProcessPort::new(space);
+        let obs = Collector::wall().with_tracing(1024);
+        let mut wh = Warehouse::new(info, Strategy::Optimistic).with_obs(obs.clone());
+        wh.add_view(bookinfo_view());
+        wh.initialize(&mut port).unwrap();
+        commit_insert_then_storeitems(&mut port);
+        wh.run_to_quiescence(&mut port, 100).unwrap();
+
+        let reg = obs.registry();
+        let counter = |name| reg.counter_value(name).unwrap_or(0);
+        let stats = wh.stats(0);
+        assert_eq!(counter("view.aborts"), stats.aborts, "abort counter mirrors ViewStats");
+        assert_eq!(counter("view.commits"), stats.du_committed + stats.batches_committed);
+        assert_eq!(counter("view.attempts"), counter("view.commits") + counter("view.aborts"));
+        assert!(counter("va.recompute") + counter("va.incremental") >= 1);
+        let names: Vec<&str> = obs.trace_records().iter().map(|r| r.name).collect();
+        assert!(names.contains(&"view.maintain"));
+        assert!(names.contains(&"va.adapt"));
+    }
+
+    #[test]
+    fn irrelevant_schema_change_commits_quietly() {
+        let (mut wh, mut port) = single(Strategy::Pessimistic);
+        port.commit(
+            SourceId(1),
+            SourceUpdate::Schema(SchemaChange::AddAttribute {
+                relation: "Catalog".into(),
+                attr: dyno_relational::Attribute::new("ISBN", dyno_relational::AttrType::Str),
+                default: Value::Null,
+            }),
+        )
+        .unwrap();
+        wh.run_to_quiescence(&mut port, 100).unwrap();
+        assert_eq!(wh.mv(0).len(), 1, "extent untouched");
+        assert_eq!(wh.stats(0).aborts, 0);
+    }
+
     #[test]
     fn initializes_all_views() {
         let (wh, _) = warehouse();
@@ -1833,10 +1994,14 @@ mod tests {
         assert_eq!(report.torn_records, 0);
         assert_eq!(report.reparked_intents, 0);
         assert_eq!(back.view_count(), 2);
+        assert_eq!(back.view(0), &bookinfo_view(), "definitions survive");
+        assert_eq!(back.view(1), &pricelist_view());
         assert_eq!(back.mv(0).len(), 2, "the committed maintenance survived");
         // The queued-but-unmaintained update survives in the UMQ and is
         // maintained by the restarted scheduler.
+        assert_eq!(back.backlog(), 1);
         back.run_to_quiescence(&mut port, 100).unwrap();
+        assert_eq!(back.backlog(), 0);
         for i in 0..back.view_count() {
             let expected = dyno_relational::eval(&back.view(i).query, &port.space().provider())
                 .expect("definitions valid");

@@ -78,8 +78,9 @@ fn part2_broken_query() -> Result<(), Box<dyn std::error::Error>> {
     let space = bookinfo_space();
     let info = space.info().clone();
     let mut port = InProcessPort::new(space);
-    let mut mgr = ViewManager::new(bookinfo_view(), info, Strategy::Pessimistic);
-    mgr.initialize(&mut port)?;
+    let mut wh = Warehouse::new(info, Strategy::Pessimistic);
+    wh.add_view(bookinfo_view());
+    wh.initialize(&mut port)?;
 
     // The insert of Example 1 is buffered…
     port.commit(
@@ -91,15 +92,15 @@ fn part2_broken_query() -> Result<(), Box<dyn std::error::Error>> {
     let item = port.space().server(SourceId(0)).catalog().get("Item")?.clone();
     port.commit(SourceId(0), SourceUpdate::Schema(storeitems_change(&store, &item)))?;
 
-    mgr.run_to_quiescence(&mut port, 100)?;
-    println!("  rewritten definition (paper Query (3) shape):\n    {}", mgr.view());
+    wh.run_to_quiescence(&mut port, 100)?;
+    println!("  rewritten definition (paper Query (3) shape):\n    {}", wh.view(0));
     println!(
         "  extent: {} tuples; aborts suffered: {} (pessimistic pre-exec detection\n\
          \x20 scheduled the schema change first, so the insert's query never broke);\n\
          \x20 cycles merged: {}\n",
-        mgr.mv().len(),
-        mgr.stats().aborts,
-        mgr.dyno_stats().merges,
+        wh.mv(0).len(),
+        wh.stats(0).aborts,
+        wh.dyno_stats().merges,
     );
     Ok(())
 }
@@ -110,8 +111,9 @@ fn part3_cyclic_dependencies() -> Result<(), Box<dyn std::error::Error>> {
     let space = bookinfo_space();
     let info = space.info().clone();
     let mut port = InProcessPort::new(space);
-    let mut mgr = ViewManager::new(bookinfo_view(), info, Strategy::Pessimistic);
-    mgr.initialize(&mut port)?;
+    let mut wh = Warehouse::new(info, Strategy::Pessimistic);
+    wh.add_view(bookinfo_view());
+    wh.initialize(&mut port)?;
 
     // SC1: the mapping re-tune; SC2: Review is dropped from the Catalog.
     let store = port.space().server(SourceId(0)).catalog().get("Store")?.clone();
@@ -125,15 +127,15 @@ fn part3_cyclic_dependencies() -> Result<(), Box<dyn std::error::Error>> {
         }),
     )?;
 
-    mgr.run_to_quiescence(&mut port, 100)?;
-    println!("  final definition (paper Query (5)):\n    {}", mgr.view());
+    wh.run_to_quiescence(&mut port, 100)?;
+    println!("  final definition (paper Query (5)):\n    {}", wh.view(0));
     println!(
         "  processed as {} atomic batch(es) covering {} updates; extent:\n{}",
-        mgr.stats().batches_committed,
-        mgr.stats().batched_updates,
-        mgr.mv()
+        wh.stats(0).batches_committed,
+        wh.stats(0).batched_updates,
+        wh.mv(0)
     );
-    assert!(mgr.view().references_relation("StoreItems"));
-    assert!(mgr.view().references_relation("ReaderDigest"));
+    assert!(wh.view(0).references_relation("StoreItems"));
+    assert!(wh.view(0).references_relation("ReaderDigest"));
     Ok(())
 }

@@ -48,9 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let info = space.info().clone();
     let mut port = InProcessPort::new(space);
-    let mut mgr = ViewManager::new(view, info, Strategy::Pessimistic);
-    mgr.initialize(&mut port)?;
-    println!("initial extent:\n{}", mgr.mv());
+    let mut wh = Warehouse::new(info, Strategy::Pessimistic);
+    wh.add_view(view);
+    wh.initialize(&mut port)?;
+    println!("initial extent:\n{}", wh.mv(0));
 
     // --- 3. A source commits a data update ---------------------------------
     port.commit(
@@ -60,8 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             [Tuple::of([Value::from(2), Value::str("B-2"), Value::from(1)])],
         )?)),
     )?;
-    mgr.run_to_quiescence(&mut port, 100)?;
-    println!("after the order insert:\n{}", mgr.mv());
+    wh.run_to_quiescence(&mut port, 100)?;
+    println!("after the order insert:\n{}", wh.mv(0));
 
     // --- 4. A source autonomously renames a relation -----------------------
     // The view definition is rewritten (view synchronization) and the extent
@@ -73,15 +74,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             to: "Items".into(),
         }),
     )?;
-    mgr.run_to_quiescence(&mut port, 100)?;
-    println!("after the source renamed Products to Items:\n  {}\n", mgr.view());
-    println!("extent (unchanged content, new definition):\n{}", mgr.mv());
+    wh.run_to_quiescence(&mut port, 100)?;
+    println!("after the source renamed Products to Items:\n  {}\n", wh.view(0));
+    println!("extent (unchanged content, new definition):\n{}", wh.mv(0));
 
     println!(
         "stats: {} data updates maintained incrementally, {} adaptation batches, {} aborts",
-        mgr.stats().du_committed,
-        mgr.stats().batches_committed,
-        mgr.stats().aborts
+        wh.stats(0).du_committed,
+        wh.stats(0).batches_committed,
+        wh.stats(0).aborts
     );
     Ok(())
 }

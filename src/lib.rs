@@ -27,8 +27,9 @@
 //! let space = bookinfo_space();
 //! let info = space.info().clone();
 //! let mut port = InProcessPort::new(space);
-//! let mut mgr = ViewManager::new(bookinfo_view(), info, Strategy::Pessimistic);
-//! mgr.initialize(&mut port).unwrap();
+//! let mut wh = Warehouse::new(info, Strategy::Pessimistic);
+//! wh.add_view(bookinfo_view());
+//! wh.initialize(&mut port).unwrap();
 //!
 //! // A source autonomously commits a data update…
 //! port.commit(
@@ -37,10 +38,10 @@
 //! )
 //! .unwrap();
 //!
-//! // …and the manager maintains the view incrementally, compensating for
+//! // …and the warehouse maintains the view incrementally, compensating for
 //! // any concurrent updates and re-ordering around schema changes.
-//! mgr.run_to_quiescence(&mut port, 100).unwrap();
-//! assert_eq!(mgr.mv().len(), 2);
+//! wh.run_to_quiescence(&mut port, 100).unwrap();
+//! assert_eq!(wh.mv(0).len(), 2);
 //! ```
 
 pub use dyno_core as core;
@@ -68,6 +69,6 @@ pub mod prelude {
     pub use dyno_source::{InfoSpace, SourceId, SourceServer, SourceSpace, UpdateMessage};
     pub use dyno_view::{
         FaultedPort, InProcessPort, MaterializedView, SourcePort, ViewDefinition, ViewError,
-        ViewManager, Warehouse,
+        Warehouse,
     };
 }

@@ -15,20 +15,21 @@ fn run_with_mode(
     timeline: &[(u64, EventKind)],
     seed: u64,
     mode: AdaptationMode,
-) -> (ViewManager, InProcessPort) {
+) -> (Warehouse, InProcessPort) {
     let cfg = TestbedConfig { tuples_per_relation: 40, ..Default::default() };
     let (space, view) = build_testbed(&cfg);
     let info = space.info().clone();
     let mut gen = WorkloadGen::new(cfg, seed);
     let schedule = gen.realize(timeline);
     let mut port = InProcessPort::new(space);
-    let mut mgr = ViewManager::new(view, info, Strategy::Pessimistic).with_adaptation(mode);
-    mgr.initialize(&mut port).expect("testbed initializes");
+    let mut wh = Warehouse::new(info, Strategy::Pessimistic).with_adaptation(mode);
+    wh.add_view(view);
+    wh.initialize(&mut port).expect("testbed initializes");
     for c in schedule {
         port.commit(c.source, c.update).expect("workload is schema-consistent");
     }
-    mgr.run_to_quiescence(&mut port, 2_000).expect("quiesces");
-    (mgr, port)
+    wh.run_to_quiescence(&mut port, 2_000).expect("quiesces");
+    (wh, port)
 }
 
 /// Auto (incremental where applicable) and RecomputeOnly agree on the final
@@ -51,11 +52,11 @@ fn modes_agree() {
         let seed = rng.gen_range(0..500u64);
         let (auto, auto_port) = run_with_mode(&timeline, seed, AdaptationMode::Auto);
         let (reco, _) = run_with_mode(&timeline, seed, AdaptationMode::RecomputeOnly);
-        assert_eq!(auto.view(), reco.view(), "case {case}");
-        assert_eq!(auto.mv().extent(), reco.mv().extent(), "case {case}");
-        assert!(check_convergence(auto_port.space(), auto.view(), auto.mv()).unwrap());
+        assert_eq!(auto.view(0), reco.view(0), "case {case}");
+        assert_eq!(auto.mv(0).extent(), reco.mv(0).extent(), "case {case}");
+        assert!(check_convergence(auto_port.space(), auto.view(0), auto.mv(0)).unwrap());
         assert_eq!(
-            reco.stats().incremental_batches,
+            reco.stats(0).incremental_batches,
             0,
             "case {case}: RecomputeOnly never takes the incremental path"
         );
@@ -70,7 +71,7 @@ fn auto_uses_incremental_for_renames() {
         (0, EventKind::RenameRelation),
         (0, EventKind::RenameRelation),
     ];
-    let (mgr, port) = run_with_mode(&timeline, 7, AdaptationMode::Auto);
-    assert!(mgr.stats().incremental_batches >= 1, "stats: {:?}", mgr.stats());
-    assert!(check_convergence(port.space(), mgr.view(), mgr.mv()).unwrap());
+    let (wh, port) = run_with_mode(&timeline, 7, AdaptationMode::Auto);
+    assert!(wh.stats(0).incremental_batches >= 1, "stats: {:?}", wh.stats(0));
+    assert!(check_convergence(port.space(), wh.view(0), wh.mv(0)).unwrap());
 }

@@ -10,23 +10,24 @@ use dyno::view::testkit::{
     bookinfo_space, bookinfo_view, catalog_schema, insert_item, storeitems_change,
 };
 
-fn managed(strategy: Strategy) -> (ViewManager, InProcessPort) {
+fn managed(strategy: Strategy) -> (Warehouse, InProcessPort) {
     let space = bookinfo_space();
     let info = space.info().clone();
     let mut port = InProcessPort::new(space);
-    let mut mgr = ViewManager::new(bookinfo_view(), info, strategy);
-    mgr.initialize(&mut port).expect("fixture initializes");
-    (mgr, port)
+    let mut wh = Warehouse::new(info, strategy);
+    wh.add_view(bookinfo_view());
+    wh.initialize(&mut port).expect("fixture initializes");
+    (wh, port)
 }
 
-fn quiesce(mgr: &mut ViewManager, port: &mut InProcessPort) {
-    mgr.run_to_quiescence(port, 500).expect("scenario completes");
+fn quiesce(wh: &mut Warehouse, port: &mut InProcessPort) {
+    wh.run_to_quiescence(port, 500).expect("scenario completes");
     assert!(
-        check_convergence(port.space(), mgr.view(), mgr.mv()).expect("checkable"),
+        check_convergence(port.space(), wh.view(0), wh.mv(0)).expect("checkable"),
         "extent must match the view over final source states"
     );
     assert!(
-        check_reflected(port.space(), mgr.view(), mgr.reflected(), mgr.mv()).expect("checkable"),
+        check_reflected(port.space(), wh.view(0), wh.reflected(), wh.mv(0)).expect("checkable"),
         "extent must match the reflected state vector"
     );
 }
@@ -36,7 +37,7 @@ fn quiesce(mgr: &mut ViewManager, port: &mut InProcessPort) {
 #[test]
 fn type1_concurrent_dus_no_duplication() {
     for strategy in [Strategy::Pessimistic, Strategy::Optimistic] {
-        let (mut mgr, mut port) = managed(strategy);
+        let (mut wh, mut port) = managed(strategy);
         // Two interdependent inserts commit back-to-back; the view manager
         // only learns of them afterwards, so the first's maintenance query
         // already sees the second.
@@ -59,9 +60,9 @@ fn type1_concurrent_dus_no_duplication() {
         .expect("valid");
         port.commit(SourceId(0), SourceUpdate::Data(insert_item(10, "Streams", "Widom", 42)))
             .expect("valid");
-        quiesce(&mut mgr, &mut port);
+        quiesce(&mut wh, &mut port);
         // Exactly one new view tuple — not two (the duplication anomaly).
-        assert_eq!(mgr.mv().len(), 2, "{strategy:?}");
+        assert_eq!(wh.mv(0).len(), 2, "{strategy:?}");
     }
 }
 
@@ -71,7 +72,7 @@ fn type1_concurrent_dus_no_duplication() {
 fn type3_broken_du_maintenance() {
     let mut aborts = Vec::new();
     for strategy in [Strategy::Pessimistic, Strategy::Optimistic] {
-        let (mut mgr, mut port) = managed(strategy);
+        let (mut wh, mut port) = managed(strategy);
         port.commit(
             SourceId(0),
             SourceUpdate::Data(insert_item(10, "Data Integration Guide", "Adams", 36)),
@@ -81,10 +82,10 @@ fn type3_broken_du_maintenance() {
         let item = port.space().server(SourceId(0)).catalog().get("Item").unwrap().clone();
         port.commit(SourceId(0), SourceUpdate::Schema(storeitems_change(&store, &item)))
             .expect("valid");
-        quiesce(&mut mgr, &mut port);
-        assert!(mgr.view().references_relation("StoreItems"), "{strategy:?}");
-        assert_eq!(mgr.mv().len(), 2, "{strategy:?}");
-        aborts.push(mgr.stats().aborts);
+        quiesce(&mut wh, &mut port);
+        assert!(wh.view(0).references_relation("StoreItems"), "{strategy:?}");
+        assert_eq!(wh.mv(0).len(), 2, "{strategy:?}");
+        aborts.push(wh.stats(0).aborts);
     }
     assert_eq!(aborts[0], 0, "pessimistic avoids the broken query");
     assert!(aborts[1] >= 1, "optimistic suffers it");
@@ -95,7 +96,7 @@ fn type3_broken_du_maintenance() {
 /// batch-point extent exact and the DU is maintained afterwards.
 #[test]
 fn type2_du_during_sc_maintenance() {
-    let (mut mgr, mut port) = managed(Strategy::Pessimistic);
+    let (mut wh, mut port) = managed(Strategy::Pessimistic);
     // Schema change buffered first.
     port.commit(
         SourceId(1),
@@ -112,12 +113,12 @@ fn type2_du_during_sc_maintenance() {
         SourceUpdate::Data(insert_item(10, "Data Integration Guide", "Adams", 36)),
     )
     .expect("valid");
-    quiesce(&mut mgr, &mut port);
+    quiesce(&mut wh, &mut port);
     // The fixture's information space replaces the dropped Review attribute
     // with ReaderDigest.Comments, so consumers keep their Review column.
-    assert!(mgr.view().references_relation("ReaderDigest"));
-    assert!(mgr.view().output_cols().contains(&"Review".to_string()));
-    assert_eq!(mgr.mv().len(), 2);
+    assert!(wh.view(0).references_relation("ReaderDigest"));
+    assert!(wh.view(0).output_cols().contains(&"Review".to_string()));
+    assert_eq!(wh.mv(0).len(), 2);
 }
 
 /// Anomaly type (4): SC conflicts with M(SC) — the Section 3.5 deadlock:
@@ -126,7 +127,7 @@ fn type2_du_during_sc_maintenance() {
 #[test]
 fn type4_cyclic_schema_changes() {
     for strategy in [Strategy::Pessimistic, Strategy::Optimistic] {
-        let (mut mgr, mut port) = managed(strategy);
+        let (mut wh, mut port) = managed(strategy);
         let store = port.space().server(SourceId(0)).catalog().get("Store").unwrap().clone();
         let item = port.space().server(SourceId(0)).catalog().get("Item").unwrap().clone();
         port.commit(SourceId(0), SourceUpdate::Schema(storeitems_change(&store, &item)))
@@ -139,8 +140,8 @@ fn type4_cyclic_schema_changes() {
             }),
         )
         .expect("valid");
-        quiesce(&mut mgr, &mut port);
-        let v = mgr.view();
+        quiesce(&mut wh, &mut port);
+        let v = wh.view(0);
         assert!(v.references_relation("StoreItems"), "{strategy:?}");
         assert!(v.references_relation("ReaderDigest"), "{strategy:?}");
         assert_eq!(
@@ -148,7 +149,7 @@ fn type4_cyclic_schema_changes() {
             bookinfo_view().output_cols(),
             "{strategy:?}: consumers keep seeing the original columns (Query (5))"
         );
-        assert!(mgr.dyno_stats().merges >= 1, "{strategy:?}: the cycle was merged");
+        assert!(wh.dyno_stats().merges >= 1, "{strategy:?}: the cycle was merged");
     }
 }
 
@@ -156,7 +157,7 @@ fn type4_cyclic_schema_changes() {
 /// previous hop's name) must be handled transitively.
 #[test]
 fn rename_chains_are_transitively_relevant() {
-    let (mut mgr, mut port) = managed(Strategy::Pessimistic);
+    let (mut wh, mut port) = managed(Strategy::Pessimistic);
     for i in 0..4 {
         let from = if i == 0 { "Catalog".to_string() } else { format!("Catalog_v{i}") };
         let to = format!("Catalog_v{}", i + 1);
@@ -182,11 +183,11 @@ fn rename_chains_are_transitively_relevant() {
         )),
     )
     .expect("valid");
-    quiesce(&mut mgr, &mut port);
-    assert!(mgr.view().references_relation("Catalog_v4"));
+    quiesce(&mut wh, &mut port);
+    assert!(wh.view(0).references_relation("Catalog_v4"));
     // 'Data Integration Guide' now has two catalog rows but no matching
     // item; 'Databases' still matches → extent stays at 1.
-    assert_eq!(mgr.mv().len(), 1);
+    assert_eq!(wh.mv(0).len(), 1);
 }
 
 /// A schema change that touches only unreferenced metadata must not disturb
@@ -194,8 +195,8 @@ fn rename_chains_are_transitively_relevant() {
 /// query to fail").
 #[test]
 fn irrelevant_changes_cause_no_rewrite() {
-    let (mut mgr, mut port) = managed(Strategy::Pessimistic);
-    let before = mgr.view().clone();
+    let (mut wh, mut port) = managed(Strategy::Pessimistic);
+    let before = wh.view(0).clone();
     port.commit(
         SourceId(2),
         SourceUpdate::Schema(SchemaChange::AddAttribute {
@@ -205,16 +206,16 @@ fn irrelevant_changes_cause_no_rewrite() {
         }),
     )
     .expect("valid");
-    quiesce(&mut mgr, &mut port);
-    assert_eq!(mgr.view(), &before);
-    assert_eq!(mgr.stats().aborts, 0);
-    assert_eq!(mgr.dyno_stats().merges, 0);
+    quiesce(&mut wh, &mut port);
+    assert_eq!(wh.view(0), &before);
+    assert_eq!(wh.stats(0).aborts, 0);
+    assert_eq!(wh.dyno_stats().merges, 0);
 }
 
 /// Deletes flow through maintenance with negative deltas.
 #[test]
 fn deletes_shrink_the_view() {
-    let (mut mgr, mut port) = managed(Strategy::Pessimistic);
+    let (mut wh, mut port) = managed(Strategy::Pessimistic);
     let existing =
         Tuple::of([Value::from(1), Value::str("Databases"), Value::str("Ullman"), Value::from(50)]);
     port.commit(
@@ -224,20 +225,20 @@ fn deletes_shrink_the_view() {
         )),
     )
     .expect("valid");
-    quiesce(&mut mgr, &mut port);
-    assert!(mgr.mv().is_empty(), "the only matching item is gone");
+    quiesce(&mut wh, &mut port);
+    assert!(wh.mv(0).is_empty(), "the only matching item is gone");
 }
 
 /// An undefinable schema change (dropping a relation with no replacement)
 /// is a hard error, not a silent wrong answer.
 #[test]
 fn undefinable_views_fail_loudly() {
-    let (mut mgr, mut port) = managed(Strategy::Pessimistic);
+    let (mut wh, mut port) = managed(Strategy::Pessimistic);
     port.commit(
         SourceId(1),
         SourceUpdate::Schema(SchemaChange::DropRelation { relation: "Catalog".into() }),
     )
     .expect("valid");
-    let err = mgr.run_to_quiescence(&mut port, 100).unwrap_err();
+    let err = wh.run_to_quiescence(&mut port, 100).unwrap_err();
     assert!(matches!(err, ViewError::Undefinable(_)));
 }

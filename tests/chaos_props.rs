@@ -1,6 +1,6 @@
 //! The seeded chaos suite: the testbed of paper Section 6.1 driven through a
 //! deterministic fault-injecting transport (`dyno::fault::ChaosTransport`),
-//! asserting that the view manager's recovery machinery preserves the
+//! asserting that the warehouse's recovery machinery preserves the
 //! paper's correctness criteria (Section 4.4) under message drop,
 //! duplication, reordering, bounded delay, query timeouts, transient errors,
 //! and source crash/restart:
@@ -58,6 +58,18 @@ fn chaos_quick_each_profile_converges() {
         injected += assert_healthy(&ChaosConfig::new(profile, 7)).fault_injected;
     }
     assert!(injected > 0, "the quick sweep must inject at least one fault");
+}
+
+/// The quiet seed-0 run's simulated series, pinned to the values the
+/// single-view pipeline has always produced. A one-view warehouse that
+/// built the shared-subplan cache would ship full-width first hops through
+/// the port and move `committed_us`.
+#[test]
+fn chaos_quiet_seed0_metrics_are_pinned() {
+    let report = assert_healthy(&ChaosConfig::new(FaultProfile::quiet(), 0));
+    assert_eq!(report.metrics.committed_us, 5_934_399);
+    assert_eq!(report.metrics.queries, 73);
+    assert_eq!(report.obs.registry().counter_value("subplan.shared_misses"), Some(0));
 }
 
 #[test]

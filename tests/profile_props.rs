@@ -85,14 +85,11 @@ fn num(v: &Value, key: &str) -> u64 {
     v.get(key).and_then(Value::as_num).unwrap_or_else(|| panic!("missing numeric `{key}`")) as u64
 }
 
-/// Every phase total in the rendered JSON equals the sum of that phase's
-/// child nodes — for every plan and every column, including `ns`.
-#[test]
-fn phase_totals_are_conserved_sums_of_operator_nodes() {
-    let report = run_monitor(&profiled_cfg(7)).expect("profiled run");
-    assert!(report.profile.plan_count() > 0, "run captured no plans");
-
-    let doc = parse(&report.profile.render_json()).expect("profile JSON parses");
+/// Asserts that every phase total in a rendered profile equals the sum of
+/// that phase's child nodes — for every plan and every column, including
+/// `ns` — and returns how many nodes were checked.
+fn assert_phase_totals_conserved(rendered: &str) -> usize {
+    let doc = parse(rendered).expect("profile JSON parses");
     let plans = doc.get("profile").and_then(|p| p.get("plans")).and_then(Value::as_arr).unwrap();
     assert!(!plans.is_empty());
     let mut checked_nodes = 0usize;
@@ -118,10 +115,37 @@ fn phase_totals_are_conserved_sums_of_operator_nodes() {
         checked_nodes += nodes.len();
     }
     assert!(checked_nodes > 0, "conservation held vacuously — no nodes captured");
+    checked_nodes
+}
+
+/// Every phase total in the rendered JSON equals the sum of that phase's
+/// child nodes — for every plan and every column, including `ns`.
+#[test]
+fn phase_totals_are_conserved_sums_of_operator_nodes() {
+    let report = run_monitor(&profiled_cfg(7)).expect("profiled run");
+    assert!(report.profile.plan_count() > 0, "run captured no plans");
+    assert_phase_totals_conserved(&report.profile.render_json());
 
     // Renders are byte-stable for a fixed set of samples.
     assert_eq!(report.profile.render_json(), report.profile.render_json());
     assert_eq!(report.profile.render_text(None), report.profile.render_text(None));
+}
+
+/// Chaos runs maintain their view through the warehouse pipeline, so a
+/// profiled capture holds the `(warehouse, pipeline)` plan — classification,
+/// extent apply — next to the SWEEP and adaptation plans, and its phase
+/// totals stay conserved.
+#[test]
+fn chaos_capture_profiles_the_warehouse_pipeline() {
+    let report = run_chaos(&ChaosConfig::new(dyno::fault::FaultProfile::quiet(), 0).with_profile());
+    assert!(report.converged);
+    let profile = report.obs.profile_snapshot();
+    let pipeline =
+        profile.plan("warehouse", "pipeline").expect("chaos capture lacks the pipeline plan");
+    assert_eq!(pipeline.invocations, report.metrics.attempts, "one invocation per attempt");
+    let phases = pipeline.phase_totals();
+    assert!(phases.contains_key(&OpPhase::Detect) && phases.contains_key(&OpPhase::Apply));
+    assert_phase_totals_conserved(&profile.render_json());
 }
 
 /// The profiler cannot move a byte of any determinism surface: the
